@@ -10,8 +10,8 @@
 //! asserted SPD — the operator `lv-driver`'s pressure-Poisson solve runs
 //! on) — the two system kinds a Navier–Stokes time step actually solves.  On top
 //! of the serial-vs-pooled axis, the comparison measures the multi-RHS
-//! axis: three sequential SpMVs vs one fused [`CsrMatrix::spmm3`]
-//! (`spmv3` / `spmm3` rows) and three sequential momentum solves vs one
+//! axis: three sequential SpMVs vs one fused three-lane
+//! [`VectorOps::spmm`] (`spmv3` / `spmm3` rows) and three sequential momentum solves vs one
 //! batched [`lv_solver::bicgstab3_on`] (`bicgstab_x3` / `bicgstab3` rows).
 //! Like the assembly comparison, every
 //! timed parallel run is validated first — here the contract is *stronger*
@@ -168,7 +168,7 @@ impl SolverComparison {
         let x_probe: Vec<f64> = (0..n).map(|i| ((i * 13 + 5) % 31) as f64 / 31.0 - 0.5).collect();
         let mut y_oracle = vec![0.0; n];
         let spmv_serial = time_min(repetitions, || {
-            VectorOps::serial().spmv(&matrix, &x_probe, &mut y_oracle);
+            VectorOps::serial().apply(&matrix, &x_probe, &mut y_oracle);
         });
         measurements.push(SolverMeasurement {
             method: "spmv",
@@ -228,7 +228,7 @@ impl SolverComparison {
         let spmv3_serial = time_min(repetitions, || {
             let mut ops = VectorOps::serial();
             for c in 0..3 {
-                ops.spmv(&matrix, x3.component(c), y3_seq.component_mut(c));
+                ops.apply(&matrix, x3.component(c), y3_seq.component_mut(c));
             }
         });
         measurements.push(SolverMeasurement {
@@ -243,7 +243,7 @@ impl SolverComparison {
 
         let mut y3 = MultiVector::zeros(n);
         let spmm3_serial = time_min(repetitions, || {
-            VectorOps::serial().spmm3(&matrix, &x3, &mut y3, [true; 3]);
+            VectorOps::serial().spmm(&matrix, x3.components(), y3.components_mut(), [true; 3]);
         });
         assert_eq!(y3, y3_seq, "fused spmm3 deviated from three sequential SpMVs");
         measurements.push(SolverMeasurement {
@@ -317,7 +317,7 @@ impl SolverComparison {
 
             let mut y = vec![0.0; n];
             let seconds = time_min(repetitions, || {
-                VectorOps::on_team(&team).spmv(&matrix, &x_probe, &mut y);
+                VectorOps::on_team(&team).apply(&matrix, &x_probe, &mut y);
             });
             let bitwise = y_oracle.iter().zip(&y).all(|(a, c)| a.to_bits() == c.to_bits());
             assert!(bitwise, "parallel SpMV ({threads} threads) deviated from the serial oracle");

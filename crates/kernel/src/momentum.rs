@@ -4,20 +4,22 @@
 //! The examples' time-step loop is always the same: assemble, apply
 //! Dirichlet rows, then solve `A·Δu_c = b_c` for the three velocity
 //! components.  This module is the single entry point both
-//! `cavity_flow` and `channel_flow` drive, with the scheduling choice the
-//! multi-RHS work introduced behind a [`MomentumPath`] flag:
+//! `cavity_flow` and `channel_flow` drive.  Both paths run the one
+//! lane-generic BiCGSTAB core of `lv-solver`; a [`MomentumPath`] picks its
+//! width:
 //!
-//! * [`Sequential`](MomentumPath::Sequential) — three independent
+//! * [`Sequential`](MomentumPath::Sequential) — three one-lane
 //!   [`lv_solver::bicgstab_on`] solves, one per component.  The oracle.
-//! * [`Batched`](MomentumPath::Batched) — one
-//!   [`lv_solver::bicgstab3_on`] multi-RHS solve: one matrix traversal per
-//!   Krylov iteration serves all three components (the SpMM path), one
-//!   fork/join per fused BLAS-1 operation instead of three.
+//! * [`Batched`](MomentumPath::Batched) — one three-lane
+//!   [`lv_solver::bicgstab3_on`] solve: one matrix traversal per Krylov
+//!   iteration serves all three components (the SpMM path), one fork/join
+//!   per fused BLAS-1 operation instead of three.
 //!
-//! The two paths are **bitwise identical** per component (the batched
-//! solver's contract), so the flag trades only wall-clock, never physics —
-//! which is exactly why the examples can default to the batched path while
-//! keeping the sequential one as the oracle the tests compare against.
+//! The two paths are **bitwise identical** per component (every lane of
+//! the core runs the same arithmetic), so the flag trades only wall-clock,
+//! never physics — which is exactly why the examples can default to the
+//! batched path while keeping the sequential one as the oracle the tests
+//! compare against.
 
 use lv_runtime::Team;
 use lv_solver::{

@@ -29,7 +29,8 @@
 //!   are computed per fixed-size block (block boundaries independent of the
 //!   thread count) and the block partials are combined in block order on the
 //!   caller, so a dot product is **bitwise identical for every thread
-//!   count**, including the serial one.
+//!   count**, including the serial one.  One call reduces `K` lanes (the
+//!   fused multi-vector dot products), each lane combined on its own.
 
 #![warn(missing_docs)]
 
@@ -37,7 +38,7 @@ mod reduce;
 mod shared;
 mod team;
 
-pub use reduce::{block_range, blocked_reduce, blocked_reduce3, num_blocks, REDUCTION_BLOCK};
+pub use reduce::{block_range, blocked_reduce, num_blocks, REDUCTION_BLOCK};
 pub use shared::SharedSliceMut;
 pub use team::Team;
 

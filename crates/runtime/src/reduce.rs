@@ -36,23 +36,36 @@ pub fn block_range(n: usize, b: usize) -> Range<usize> {
     lo..hi
 }
 
-/// Reduces `0..n` with the fixed-block scheme: `block_sum` is called once
-/// per [`block_range`] (in parallel across the team when one is given) and
-/// the partials are summed in block order.
+/// Reduces `0..n` in `K` lanes at once with the fixed-block scheme:
+/// `block_sum` returns the `K` per-lane partials of one [`block_range`]
+/// (called in parallel across the team when one is given), and each lane's
+/// partials are summed in block order.
 ///
-/// `scratch` holds the per-block partials between calls so a solver
-/// iteration does not allocate; it is resized as needed.
+/// Every lane is **bitwise identical** to a one-lane reduction whose
+/// `block_sum` computes that lane alone — the block boundaries and the
+/// combination order are the same — so a fused `K`-vector dot product
+/// reproduces `K` single dot products bit for bit while paying one
+/// fork/join instead of `K`.
 ///
-/// The returned sum is bitwise identical for every `team` argument — `None`,
-/// or teams of any size — as long as `block_sum` itself is a pure function
-/// of its range.
-pub fn blocked_reduce<F>(team: Option<&Team>, n: usize, scratch: &mut Vec<f64>, block_sum: F) -> f64
+/// `scratch` holds the `K * num_blocks(n)` partials between calls so a
+/// solver iteration does not allocate; it is resized as needed.
+///
+/// The result is bitwise identical for every `team` argument — `None`, or
+/// teams of any size — as long as `block_sum` itself is a pure function of
+/// its range.
+pub fn blocked_reduce<const K: usize, F>(
+    team: Option<&Team>,
+    n: usize,
+    scratch: &mut Vec<f64>,
+    block_sum: F,
+) -> [f64; K]
 where
-    F: Fn(Range<usize>) -> f64 + Sync,
+    F: Fn(Range<usize>) -> [f64; K] + Sync,
 {
     let blocks = num_blocks(n);
     scratch.clear();
-    scratch.resize(blocks, 0.0);
+    scratch.resize(K * blocks, 0.0);
+    // Lane-major partials: lane `k` of block `b` lives at `k * blocks + b`.
     match team {
         // Parallel only when every rank gets at least one whole block.
         Some(team) if team.num_threads() > 1 && blocks >= team.num_threads() => {
@@ -60,87 +73,34 @@ where
             let partials = SharedSliceMut::new(scratch);
             team.run(&|rank| {
                 for b in partition(blocks, threads, rank) {
-                    // SAFETY: the static partition hands each rank a
-                    // disjoint set of block indices.
-                    unsafe { *partials.index_mut(b) = block_sum(block_range(n, b)) };
-                }
-            });
-        }
-        _ => {
-            for (b, slot) in scratch.iter_mut().enumerate() {
-                *slot = block_sum(block_range(n, b));
-            }
-        }
-    }
-    // Combine in fixed block order, independent of who computed what.
-    scratch.iter().sum()
-}
-
-/// Three reductions over the same index space in one pass: `block_sum`
-/// returns the three per-block partials of block `b`, and each component's
-/// partials are combined independently in block order.
-///
-/// Each component of the result is **bitwise identical** to a
-/// [`blocked_reduce`] whose `block_sum` computes that component alone — the
-/// block boundaries and the combination order are the same — which is the
-/// contract the multi-RHS solver kernels rest on: a fused three-vector dot
-/// product reproduces the three single-vector dot products bit for bit while
-/// paying one fork/join instead of three.
-///
-/// `scratch` holds `3 * num_blocks(n)` partials between calls.
-pub fn blocked_reduce3<F>(
-    team: Option<&Team>,
-    n: usize,
-    scratch: &mut Vec<f64>,
-    block_sum: F,
-) -> [f64; 3]
-where
-    F: Fn(Range<usize>) -> [f64; 3] + Sync,
-{
-    let blocks = num_blocks(n);
-    scratch.clear();
-    scratch.resize(3 * blocks, 0.0);
-    match team {
-        Some(team) if team.num_threads() > 1 && blocks >= team.num_threads() => {
-            let threads = team.num_threads();
-            let partials = SharedSliceMut::new(scratch);
-            team.run(&|rank| {
-                for b in partition(blocks, threads, rank) {
-                    let sums = block_sum(block_range(n, b));
-                    // SAFETY: the static partition hands each rank a
-                    // disjoint set of block indices, hence disjoint
-                    // 3-element scratch slots.
-                    unsafe {
-                        let slot = partials.range_mut(3 * b..3 * b + 3);
-                        slot.copy_from_slice(&sums);
+                    for (k, sum) in block_sum(block_range(n, b)).into_iter().enumerate() {
+                        // SAFETY: the static partition hands each rank a
+                        // disjoint set of block indices, hence disjoint
+                        // scratch slots in every lane.
+                        unsafe { *partials.index_mut(k * blocks + b) = sum };
                     }
                 }
             });
         }
         _ => {
             for b in 0..blocks {
-                let sums = block_sum(block_range(n, b));
-                scratch[3 * b..3 * b + 3].copy_from_slice(&sums);
+                for (k, sum) in block_sum(block_range(n, b)).into_iter().enumerate() {
+                    scratch[k * blocks + b] = sum;
+                }
             }
         }
     }
-    // Combine each component in fixed block order, independent of who
-    // computed what.
-    let mut out = [0.0f64; 3];
-    for b in 0..blocks {
-        for (k, acc) in out.iter_mut().enumerate() {
-            *acc += scratch[3 * b + k];
-        }
-    }
-    out
+    // Combine each lane in fixed block order, independent of who computed
+    // what.
+    std::array::from_fn(|k| scratch[k * blocks..(k + 1) * blocks].iter().sum())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn seq_block_sum(data: &[f64]) -> impl Fn(Range<usize>) -> f64 + Sync + '_ {
-        move |r| data[r].iter().sum()
+    fn seq_block_sum(data: &[f64]) -> impl Fn(Range<usize>) -> [f64; 1] + Sync + '_ {
+        move |r| [data[r].iter().sum()]
     }
 
     #[test]
@@ -162,7 +122,7 @@ mod tests {
         let n = 3 * REDUCTION_BLOCK + 41;
         let data: Vec<f64> = (0..n).map(|i| ((i * 37 + 11) % 97) as f64 / 9.7 - 5.0).collect();
         let mut scratch = Vec::new();
-        let got = blocked_reduce(None, n, &mut scratch, seq_block_sum(&data));
+        let [got] = blocked_reduce(None, n, &mut scratch, seq_block_sum(&data));
         let expect: f64 =
             (0..num_blocks(n)).map(|b| data[block_range(n, b)].iter().sum::<f64>()).sum();
         assert_eq!(got.to_bits(), expect.to_bits());
@@ -173,10 +133,10 @@ mod tests {
         let n = 17 * REDUCTION_BLOCK + 3;
         let data: Vec<f64> = (0..n).map(|i| (i as f64 * 0.7310081).sin() * 1e3).collect();
         let mut scratch = Vec::new();
-        let serial = blocked_reduce(None, n, &mut scratch, seq_block_sum(&data));
+        let [serial] = blocked_reduce(None, n, &mut scratch, seq_block_sum(&data));
         for threads in [1usize, 2, 3, 4, 8] {
             let team = Team::new(threads);
-            let got = blocked_reduce(Some(&team), n, &mut scratch, seq_block_sum(&data));
+            let [got] = blocked_reduce(Some(&team), n, &mut scratch, seq_block_sum(&data));
             assert_eq!(got.to_bits(), serial.to_bits(), "threads={threads}");
         }
     }
@@ -187,17 +147,20 @@ mod tests {
         let data = [1.5f64, -2.25, 4.0];
         let mut scratch = Vec::new();
         let got = blocked_reduce(Some(&team), 3, &mut scratch, seq_block_sum(&data));
-        assert_eq!(got, 3.25);
+        assert_eq!(got, [3.25]);
     }
 
     #[test]
     fn empty_reduce_is_zero() {
         let mut scratch = vec![9.0; 4];
-        assert_eq!(blocked_reduce(None, 0, &mut scratch, |_| unreachable!()), 0.0);
+        assert_eq!(
+            blocked_reduce(None, 0, &mut scratch, |_| -> [f64; 1] { unreachable!() }),
+            [0.0]
+        );
     }
 
-    /// The fused three-way reduction contract: each component is bitwise
-    /// identical to its own single `blocked_reduce`, for every thread count.
+    /// The fused three-lane reduction contract: each lane is bitwise
+    /// identical to its own one-lane `blocked_reduce`, for every thread count.
     #[test]
     fn reduce3_components_match_single_reductions_bitwise() {
         let n = 9 * REDUCTION_BLOCK + 77;
@@ -207,8 +170,10 @@ mod tests {
             (0..n).map(|i| ((i * 13 + 7) % 101) as f64 / 10.1).collect(),
         ];
         let mut scratch = Vec::new();
-        let singles: Vec<f64> =
-            data.iter().map(|d| blocked_reduce(None, n, &mut scratch, seq_block_sum(d))).collect();
+        let singles: Vec<f64> = data
+            .iter()
+            .map(|d| blocked_reduce(None, n, &mut scratch, seq_block_sum(d))[0])
+            .collect();
         let fused_sum = |r: Range<usize>| -> [f64; 3] {
             [
                 data[0][r.clone()].iter().sum(),
@@ -216,13 +181,13 @@ mod tests {
                 data[2][r].iter().sum(),
             ]
         };
-        let serial3 = blocked_reduce3(None, n, &mut scratch, fused_sum);
+        let serial3 = blocked_reduce(None, n, &mut scratch, fused_sum);
         for k in 0..3 {
             assert_eq!(serial3[k].to_bits(), singles[k].to_bits(), "serial component {k}");
         }
         for threads in [1usize, 2, 3, 4] {
             let team = Team::new(threads);
-            let got = blocked_reduce3(Some(&team), n, &mut scratch, fused_sum);
+            let got = blocked_reduce(Some(&team), n, &mut scratch, fused_sum);
             for k in 0..3 {
                 assert_eq!(got[k].to_bits(), singles[k].to_bits(), "threads={threads} k={k}");
             }
@@ -232,6 +197,9 @@ mod tests {
     #[test]
     fn reduce3_of_empty_input_is_zero() {
         let mut scratch = vec![1.0; 6];
-        assert_eq!(blocked_reduce3(None, 0, &mut scratch, |_| unreachable!()), [0.0; 3]);
+        assert_eq!(
+            blocked_reduce(None, 0, &mut scratch, |_| -> [f64; 3] { unreachable!() }),
+            [0.0; 3]
+        );
     }
 }

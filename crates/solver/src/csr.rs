@@ -5,7 +5,6 @@
 //! point ([`CsrMatrix::add`]) is exactly the operation phase 8 performs for
 //! every (element, local-row, local-column) triple.
 
-use crate::multivector::MultiVector;
 use serde::{Deserialize, Serialize};
 
 /// Structural profile of a CSR matrix: the row-span and fill statistics the
@@ -182,37 +181,7 @@ impl CsrMatrix {
     /// # Panics
     /// Panics if the vector lengths do not match the matrix dimension.
     pub fn spmv(&self, x: &[f64], y: &mut [f64]) {
-        assert_eq!(y.len(), self.n);
-        self.spmv_range(x, 0..self.n, y);
-    }
-
-    /// Sparse matrix–vector product restricted to the rows of `rows`:
-    /// `y[i] = (A·x)[rows.start + i]`, with `y.len() == rows.len()`.
-    ///
-    /// This is the row-partitioned entry point of the parallel solver path:
-    /// output rows are disjoint, so concurrent callers with disjoint ranges
-    /// need no synchronization, and each row is accumulated in column order
-    /// regardless of the partition — the parallel product is **bitwise
-    /// identical** to the serial one for every thread count.
-    ///
-    /// # Panics
-    /// Panics if `x` does not match the matrix dimension, `rows` is out of
-    /// bounds, or `y` does not match `rows`.
-    pub fn spmv_range(&self, x: &[f64], rows: std::ops::Range<usize>, y: &mut [f64]) {
-        assert_eq!(x.len(), self.n);
-        assert!(rows.end <= self.n, "row range {rows:?} out of bounds for dim {}", self.n);
-        assert_eq!(y.len(), rows.len(), "output length must match the row range");
-        let first = rows.start;
-        for (i, out) in y.iter_mut().enumerate() {
-            let row = first + i;
-            let start = self.row_ptr[row];
-            let end = self.row_ptr[row + 1];
-            let mut sum = 0.0;
-            for k in start..end {
-                sum += self.values[k] * x[self.col_idx[k]];
-            }
-            *out = sum;
-        }
+        self.spmm_range([x], 0..self.n, [y], [true]);
     }
 
     /// Convenience allocation-returning SpMV.
@@ -222,83 +191,57 @@ impl CsrMatrix {
         y
     }
 
-    /// Sparse matrix–multi-vector product `Y = A·X` for three right-hand
-    /// sides: one traversal of the matrix values and column indices serves
-    /// all three vectors, which is where the memory-bound solver recovers
-    /// bandwidth (the values/col_idx streams dominate SpMV traffic).
+    /// Sparse matrix–multi-vector product `Y = A·X` for `K` lanes,
+    /// restricted to the rows of `rows`: `y[c][i] = (A·x[c])[rows.start + i]`
+    /// with `y[c].len() == rows.len()`.  `K = 1` is the plain SpMV.
     ///
-    /// Each component accumulates in column order with its own accumulator,
-    /// so component `c` of the result is **bitwise identical** to
-    /// `spmv(x.component(c), …)`.
+    /// One traversal of the matrix values and column indices serves all
+    /// lanes, which is where the memory-bound solver recovers bandwidth (the
+    /// values/col_idx streams dominate SpMV traffic).  Each lane accumulates
+    /// in column order with its own accumulator, so lane `c` is **bitwise
+    /// identical** to the `K = 1` product of `x[c]`.
     ///
-    /// # Panics
-    /// Panics if the multi-vector lengths do not match the matrix dimension.
-    pub fn spmm3(&self, x: &MultiVector, y: &mut MultiVector) {
-        assert_eq!(y.len(), self.n);
-        let [y0, y1, y2] = y.components_mut();
-        self.spmm3_range(x.components(), 0..self.n, [y0, y1, y2], [true; 3]);
-    }
-
-    /// [`spmm3`](Self::spmm3) restricted to the rows of `rows` — the
-    /// row-partitioned entry point of the parallel multi-RHS path, with the
-    /// same disjoint-output contract as [`spmv_range`](Self::spmv_range).
+    /// This is the row-partitioned entry point of the parallel solver path:
+    /// output rows are disjoint, so concurrent callers with disjoint ranges
+    /// need no synchronization, and each row is accumulated in column order
+    /// regardless of the partition — the parallel product is **bitwise
+    /// identical** to the serial one for every thread count.
     ///
-    /// `active` masks components: an inactive component's output slice is
-    /// left untouched (and its `x` gathers skipped), while the traversal of
-    /// the matrix values/column indices stays **single** regardless of the
-    /// mask — that is the whole point of the fused path, and it must not be
-    /// lost when the batched solvers freeze an early-converged component.
+    /// `active` masks lanes: an inactive lane's output slice is left
+    /// untouched (and its `x` gathers skipped), while the traversal of the
+    /// values/column indices stays **single** regardless of the mask, so
+    /// freezing an early-converged lane never costs the fused-traversal win.
     /// The mask entries are loop-invariant, so the compiler unswitches the
     /// inner loop into straight-line variants.
     ///
     /// # Panics
-    /// Panics if any input does not match the matrix dimension or any output
-    /// slice does not match `rows`.
-    pub fn spmm3_range(
+    /// Panics if any `x` lane does not match the matrix dimension, `rows` is
+    /// out of bounds, or any `y` lane does not match `rows`.
+    pub fn spmm_range<const K: usize>(
         &self,
-        x: [&[f64]; 3],
+        x: [&[f64]; K],
         rows: std::ops::Range<usize>,
-        y: [&mut [f64]; 3],
-        active: [bool; 3],
+        y: [&mut [f64]; K],
+        active: [bool; K],
     ) {
-        for xc in &x {
-            assert_eq!(xc.len(), self.n);
-        }
+        assert!(x.iter().all(|xc| xc.len() == self.n), "input length must match the dimension");
         assert!(rows.end <= self.n, "row range {rows:?} out of bounds for dim {}", self.n);
-        let [y0, y1, y2] = y;
-        assert_eq!(y0.len(), rows.len(), "output length must match the row range");
-        assert_eq!(y1.len(), rows.len(), "output length must match the row range");
-        assert_eq!(y2.len(), rows.len(), "output length must match the row range");
-        let [x0, x1, x2] = x;
-        let first = rows.start;
-        for i in 0..rows.len() {
-            let row = first + i;
-            let start = self.row_ptr[row];
-            let end = self.row_ptr[row + 1];
-            let mut s0 = 0.0;
-            let mut s1 = 0.0;
-            let mut s2 = 0.0;
-            for k in start..end {
+        assert!(y.iter().all(|yc| yc.len() == rows.len()), "output length must match the rows");
+        for (i, row) in rows.enumerate() {
+            let mut sum = [0.0f64; K];
+            for k in self.row_ptr[row]..self.row_ptr[row + 1] {
                 let a = self.values[k];
                 let col = self.col_idx[k];
-                if active[0] {
-                    s0 += a * x0[col];
-                }
-                if active[1] {
-                    s1 += a * x1[col];
-                }
-                if active[2] {
-                    s2 += a * x2[col];
+                for c in 0..K {
+                    if active[c] {
+                        sum[c] += a * x[c][col];
+                    }
                 }
             }
-            if active[0] {
-                y0[i] = s0;
-            }
-            if active[1] {
-                y1[i] = s1;
-            }
-            if active[2] {
-                y2[i] = s2;
+            for c in 0..K {
+                if active[c] {
+                    y[c][i] = sum[c];
+                }
             }
         }
     }
@@ -443,6 +386,7 @@ impl CsrMatrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::multivector::MultiVector;
 
     fn laplacian_1d(n: usize) -> CsrMatrix {
         // Tridiagonal [-1, 2, -1] matrix.
@@ -601,7 +545,7 @@ mod tests {
     }
 
     #[test]
-    fn spmv_range_tiles_reproduce_the_full_product() {
+    fn one_lane_row_tiles_reproduce_the_full_product() {
         let m = laplacian_1d(23);
         let x: Vec<f64> = (0..23).map(|i| (i as f64 * 0.31).cos()).collect();
         let full = m.mul_vec(&x);
@@ -611,7 +555,12 @@ mod tests {
             for p in 0..parts {
                 let rows = (p * per).min(23)..((p + 1) * per).min(23);
                 let len = rows.len();
-                m.spmv_range(&x, rows.clone(), &mut tiled[rows.start..rows.start + len]);
+                m.spmm_range(
+                    [&x],
+                    rows.clone(),
+                    [&mut tiled[rows.start..rows.start + len]],
+                    [true],
+                );
             }
             for (a, b) in full.iter().zip(&tiled) {
                 assert_eq!(a.to_bits(), b.to_bits(), "parts={parts}");
@@ -621,11 +570,11 @@ mod tests {
 
     #[test]
     #[should_panic]
-    fn spmv_range_rejects_out_of_bounds_rows() {
+    fn spmm_range_rejects_out_of_bounds_rows() {
         let m = laplacian_1d(4);
         let x = vec![0.0; 4];
         let mut y = vec![0.0; 2];
-        m.spmv_range(&x, 3..5, &mut y);
+        m.spmm_range([&x], 3..5, [&mut y], [true]);
     }
 
     #[test]
@@ -653,7 +602,7 @@ mod tests {
     }
 
     #[test]
-    fn spmm3_components_match_single_spmv_bitwise() {
+    fn three_lane_spmm_matches_single_spmv_bitwise() {
         let m = laplacian_1d(40);
         let x = MultiVector::from_columns([
             &(0..40).map(|i| (i as f64 * 0.3).sin()).collect::<Vec<_>>(),
@@ -661,7 +610,7 @@ mod tests {
             &(0..40).map(|i| ((i * 7 + 1) % 13) as f64 - 6.0).collect::<Vec<_>>(),
         ]);
         let mut y = MultiVector::zeros(40);
-        m.spmm3(&x, &mut y);
+        m.spmm_range(x.components(), 0..40, y.components_mut(), [true; 3]);
         for c in 0..3 {
             let single = m.mul_vec(x.component(c));
             for (a, b) in single.iter().zip(y.component(c)) {
@@ -671,7 +620,7 @@ mod tests {
     }
 
     #[test]
-    fn spmm3_range_tiles_reproduce_the_full_product() {
+    fn three_lane_row_tiles_reproduce_the_full_product() {
         let m = laplacian_1d(17);
         let x = MultiVector::from_columns([
             &(0..17).map(|i| i as f64).collect::<Vec<_>>(),
@@ -679,11 +628,11 @@ mod tests {
             &(0..17).map(|i| -(i as f64)).collect::<Vec<_>>(),
         ]);
         let mut full = MultiVector::zeros(17);
-        m.spmm3(&x, &mut full);
+        m.spmm_range(x.components(), 0..17, full.components_mut(), [true; 3]);
         let mut tiled = MultiVector::zeros(17);
         for rows in [0..5usize, 5..11, 11..17] {
             let [y0, y1, y2] = tiled.components_mut();
-            m.spmm3_range(
+            m.spmm_range(
                 x.components(),
                 rows.clone(),
                 [&mut y0[rows.clone()], &mut y1[rows.clone()], &mut y2[rows.clone()]],
@@ -694,7 +643,7 @@ mod tests {
     }
 
     #[test]
-    fn spmm3_range_mask_freezes_inactive_components() {
+    fn spmm_range_mask_freezes_inactive_lanes() {
         let m = laplacian_1d(12);
         let x = MultiVector::from_columns([
             &(0..12).map(|i| i as f64).collect::<Vec<_>>(),
@@ -702,13 +651,10 @@ mod tests {
             &(0..12).map(|i| 2.0 - i as f64).collect::<Vec<_>>(),
         ]);
         let mut full = MultiVector::zeros(12);
-        m.spmm3(&x, &mut full);
+        m.spmm_range(x.components(), 0..12, full.components_mut(), [true; 3]);
         let mut masked = MultiVector::zeros(12);
         masked.component_mut(1).fill(7.5);
-        {
-            let [y0, y1, y2] = masked.components_mut();
-            m.spmm3_range(x.components(), 0..12, [y0, y1, y2], [true, false, true]);
-        }
+        m.spmm_range(x.components(), 0..12, masked.components_mut(), [true, false, true]);
         assert_eq!(masked.component(0), full.component(0));
         assert_eq!(masked.component(1), &[7.5; 12], "inactive component was written");
         assert_eq!(masked.component(2), full.component(2));

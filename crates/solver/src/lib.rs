@@ -14,10 +14,11 @@
 //!   Dirichlet row/column elimination;
 //! * [`krylov`] — Jacobi-preconditioned Conjugate Gradient and BiCGSTAB with
 //!   convergence tracking, serial or on a shared worker pool with bitwise
-//!   identical results for every thread count;
-//! * [`multivector`] / [`batched`] — the three-RHS SoA vector and the fused
-//!   momentum solvers: one matrix traversal per Krylov iteration serves all
-//!   three components, each bitwise identical to its single-RHS solve;
+//!   identical results for every thread count.  BiCGSTAB is one driver
+//!   generic over a lane count: [`bicgstab`] solves one right-hand side,
+//!   [`bicgstab3`] the three momentum components with one matrix traversal
+//!   per iteration, each lane bitwise identical to its single solve;
+//! * [`multivector`] — the SoA storage of `K` equal-length lanes;
 //! * [`operator`] — the [`LinearOperator`] abstraction the Krylov loops
 //!   consume: anything that can apply `y = A·x` over a row range and expose
 //!   its diagonal (assembled CSR and matrix-free operators alike);
@@ -26,13 +27,13 @@
 //!   solve) and the [`mg_preconditioned_cg`] solver it preconditions,
 //!   bitwise reproducible at every thread count;
 //! * [`parallel`] — the deterministic parallel kernels behind them:
-//!   row-partitioned SpMV and fixed-block BLAS-1 on an [`lv_runtime::Team`];
+//!   row-partitioned SpMV and fixed-block BLAS-1 on an [`lv_runtime::Team`],
+//!   each written once for any number of lanes;
 //! * [`dense`] — a tiny dense solver used for cross-checking the sparse path
 //!   in tests.
 
 #![warn(missing_docs)]
 
-pub mod batched;
 pub mod csr;
 pub mod dense;
 pub mod krylov;
@@ -41,14 +42,11 @@ pub mod multivector;
 pub mod operator;
 pub mod parallel;
 
-pub use batched::{
-    bicgstab3, bicgstab3_on, conjugate_gradient3, conjugate_gradient3_on, BatchedOutcome,
-};
 pub use csr::{CsrMatrix, ProfileStats};
 pub use dense::DenseMatrix;
 pub use krylov::{
-    bicgstab, bicgstab_on, conjugate_gradient, conjugate_gradient_on, conjugate_gradient_operator,
-    conjugate_gradient_operator_on, BreakdownKind, SolveOptions, SolveOutcome, SolverError,
+    bicgstab, bicgstab3, bicgstab3_on, bicgstab_on, conjugate_gradient, conjugate_gradient_on,
+    BatchedOutcome, BreakdownKind, SolveOptions, SolveOutcome, SolverError,
 };
 pub use multigrid::{
     mg_preconditioned_cg, mg_preconditioned_cg_on, GeometricMultigrid, Interpolation,

@@ -29,7 +29,7 @@
 //! product.
 
 use crate::csr::CsrMatrix;
-use crate::krylov::{conjugate_gradient_with, SolveOptions, SolveOutcome, SolverError};
+use crate::krylov::{conjugate_gradient_with, with_ops, SolveOptions, SolveOutcome, SolverError};
 use crate::operator::{LinearOperator, Preconditioner};
 use crate::parallel::VectorOps;
 use lv_runtime::{SharedSliceMut, Team};
@@ -330,16 +330,21 @@ impl Level {
         let mut remaining = sweeps;
         if from_zero {
             self.x.fill(0.0);
-            ops.hadamard(&self.b, &self.inv_diag, &mut self.t);
-            ops.axpy(damping, &self.t, &mut self.x);
+            ops.hadamard([&self.b], &self.inv_diag, [&mut self.t], [true]);
+            ops.axpy([damping], [&self.t], [&mut self.x], [true]);
             remaining = remaining.saturating_sub(1);
         }
         for _ in 0..remaining {
-            ops.spmv(&self.matrix, &self.x, &mut self.t);
-            ops.scaled_diff(&self.b, 1.0, &self.t, &mut self.r);
-            ops.hadamard(&self.r, &self.inv_diag, &mut self.t);
-            ops.axpy(damping, &self.t, &mut self.x);
+            self.residual(ops);
+            ops.hadamard([&self.r], &self.inv_diag, [&mut self.t], [true]);
+            ops.axpy([damping], [&self.t], [&mut self.x], [true]);
         }
+    }
+
+    /// `r = b - A·x` (with `t = A·x` as scratch).
+    fn residual(&mut self, ops: &mut VectorOps<'_>) {
+        ops.apply(&self.matrix, &self.x, &mut self.t);
+        ops.scaled_diff([&self.b], [1.0], [&self.t], [&mut self.r], [true]);
     }
 }
 
@@ -434,8 +439,7 @@ impl GeometricMultigrid {
             let next = &mut coarse_half[0];
             let span = level_span(l, self.sweeps, &level.matrix);
             level.smooth(ops, self.sweeps, self.damping, true);
-            ops.spmv(&level.matrix, &level.x, &mut level.t);
-            ops.scaled_diff(&level.b, 1.0, &level.t, &mut level.r);
+            level.residual(ops);
             self.interps[l].restrict(ops, &level.r, &mut next.b);
             drop(span);
         }
@@ -475,12 +479,7 @@ pub fn mg_preconditioned_cg(
     b: &[f64],
     options: &SolveOptions,
 ) -> Result<SolveOutcome, SolverError> {
-    if options.threads > 1 {
-        let team = Team::new(options.threads);
-        conjugate_gradient_with(operator, b, options, &mut VectorOps::on_team(&team), multigrid)
-    } else {
-        conjugate_gradient_with(operator, b, options, &mut VectorOps::serial(), multigrid)
-    }
+    with_ops(options, |ops| conjugate_gradient_with(operator, b, options, ops, multigrid))
 }
 
 /// [`mg_preconditioned_cg`] on a caller-provided worker team (the pooled

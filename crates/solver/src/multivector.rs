@@ -1,45 +1,46 @@
-//! The [`MultiVector`]: three vectors of equal length in SoA layout.
+//! The [`MultiVector`]: `K` vectors of equal length ("lanes") in SoA
+//! layout — the storage of the lane-generic Krylov core.
 //!
 //! A semi-implicit Navier–Stokes time step solves three momentum-increment
 //! systems (x/y/z components) that share the same matrix.  Solving them one
 //! by one streams the CSR values and column indices three times; a
 //! multi-vector solve streams the matrix **once** per Krylov iteration
-//! ([`crate::csr::CsrMatrix::spmm3`]) and pays one fork/join per fused
-//! BLAS-1 operation instead of three ([`crate::parallel::VectorOps`]'s
-//! 3-wide kernels).
+//! ([`crate::csr::CsrMatrix::spmm_range`]) and pays one fork/join per fused
+//! BLAS-1 operation instead of three ([`crate::parallel::VectorOps`]).
 //!
-//! The layout is structure-of-arrays — component `c` is the contiguous slice
-//! `data[c*n .. (c+1)*n]` — so every per-component kernel sees exactly the
-//! same unit-stride stream it would see in a single-RHS solve.  That is what
-//! makes the batched solvers ([`crate::batched`]) *bitwise identical* per
-//! component to the sequential solves.
+//! The layout is structure-of-arrays — lane `c` is the contiguous slice
+//! `data[c*n .. (c+1)*n]` — so every per-lane kernel sees exactly the same
+//! unit-stride stream it would see in a single-vector solve.  That is what
+//! makes a lane of the `K = 3` solve ([`crate::krylov::bicgstab3`])
+//! *bitwise identical* to the `K = 1` solve of the same right-hand side.
 
 use serde::{Deserialize, Serialize};
 
-/// Number of right-hand sides a [`MultiVector`] carries (the three momentum
-/// components of a 3-D flow).
+/// Number of right-hand sides of the momentum solve (the three velocity
+/// components of a 3-D flow), and the default lane count of a
+/// [`MultiVector`].
 pub const NRHS: usize = 3;
 
-/// Three equal-length vectors in SoA storage.
+/// `K` equal-length vectors in SoA storage.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct MultiVector {
+pub struct MultiVector<const K: usize = NRHS> {
     n: usize,
     data: Vec<f64>,
 }
 
-impl MultiVector {
-    /// Three zero vectors of length `n`.
+impl<const K: usize> MultiVector<K> {
+    /// `K` zero vectors of length `n`.
     pub fn zeros(n: usize) -> Self {
-        MultiVector { n, data: vec![0.0; NRHS * n] }
+        MultiVector { n, data: vec![0.0; K * n] }
     }
 
-    /// Builds a multi-vector from three equal-length columns.
+    /// Builds a multi-vector from `K` equal-length columns.
     ///
     /// # Panics
     /// Panics if the columns differ in length.
-    pub fn from_columns(columns: [&[f64]; NRHS]) -> Self {
-        let n = columns[0].len();
-        let mut data = Vec::with_capacity(NRHS * n);
+    pub fn from_columns(columns: [&[f64]; K]) -> Self {
+        let n = columns.first().map_or(0, |col| col.len());
+        let mut data = Vec::with_capacity(K * n);
         for col in columns {
             assert_eq!(col.len(), n, "multi-vector columns must have equal length");
             data.extend_from_slice(col);
@@ -48,76 +49,78 @@ impl MultiVector {
     }
 
     /// Builds a multi-vector from a node-interleaved array
-    /// (`values[NRHS*node + c]`, the layout of the assembled right-hand
-    /// side): de-interleaves into SoA.
+    /// (`values[K*node + c]`, the layout of the assembled right-hand side):
+    /// de-interleaves into SoA.
     ///
     /// # Panics
-    /// Panics if the length is not a multiple of [`NRHS`].
+    /// Panics if the length is not a multiple of `K`.
     pub fn from_interleaved(values: &[f64]) -> Self {
-        assert_eq!(values.len() % NRHS, 0, "interleaved array length must be a multiple of 3");
-        let n = values.len() / NRHS;
-        let mut data = vec![0.0; NRHS * n];
+        assert_eq!(values.len() % K, 0, "interleaved array length must be a multiple of {K}");
+        let n = values.len() / K;
+        let mut data = vec![0.0; K * n];
         for node in 0..n {
-            for c in 0..NRHS {
-                data[c * n + node] = values[NRHS * node + c];
+            for c in 0..K {
+                data[c * n + node] = values[K * node + c];
             }
         }
         MultiVector { n, data }
     }
 
-    /// Re-interleaves the components into `out[NRHS*node + c]` form.
+    /// Re-interleaves the lanes into `out[K*node + c]` form.
     pub fn to_interleaved(&self) -> Vec<f64> {
-        let mut out = vec![0.0; NRHS * self.n];
-        for c in 0..NRHS {
+        let mut out = vec![0.0; K * self.n];
+        for c in 0..K {
             for (node, &v) in self.component(c).iter().enumerate() {
-                out[NRHS * node + c] = v;
+                out[K * node + c] = v;
             }
         }
         out
     }
 
-    /// Length of each component vector.
+    /// Length of each lane.
     #[inline]
     pub fn len(&self) -> usize {
         self.n
     }
 
-    /// Whether the component vectors are empty.
+    /// Whether the lanes are empty.
     #[inline]
     pub fn is_empty(&self) -> bool {
         self.n == 0
     }
 
-    /// Component `c` as a contiguous slice.
+    /// Lane `c` as a contiguous slice.
     #[inline]
     pub fn component(&self, c: usize) -> &[f64] {
         &self.data[c * self.n..(c + 1) * self.n]
     }
 
-    /// Component `c` as a mutable contiguous slice.
+    /// Lane `c` as a mutable contiguous slice.
     #[inline]
     pub fn component_mut(&mut self, c: usize) -> &mut [f64] {
         &mut self.data[c * self.n..(c + 1) * self.n]
     }
 
-    /// All three components at once.
+    /// All lanes at once.
     #[inline]
-    pub fn components(&self) -> [&[f64]; NRHS] {
-        let (a, rest) = self.data.split_at(self.n);
-        let (b, c) = rest.split_at(self.n);
-        [a, b, c]
+    pub fn components(&self) -> [&[f64]; K] {
+        std::array::from_fn(|c| self.component(c))
     }
 
-    /// All three components at once, mutably (disjoint borrows out of the
-    /// flat storage).
+    /// All lanes at once, mutably (disjoint borrows out of the flat
+    /// storage).
     #[inline]
-    pub fn components_mut(&mut self) -> [&mut [f64]; NRHS] {
-        let (a, rest) = self.data.split_at_mut(self.n);
-        let (b, c) = rest.split_at_mut(self.n);
-        [a, b, c]
+    pub fn components_mut(&mut self) -> [&mut [f64]; K] {
+        let n = self.n;
+        let mut rest = self.data.as_mut_slice();
+        std::array::from_fn(|_| {
+            let (lane, tail) = std::mem::take(&mut rest).split_at_mut(n);
+            rest = tail;
+            lane
+        })
     }
 
-    /// Overwrites component `c` with `values`.
+    /// Overwrites lane `c` with `values`.
     ///
     /// # Panics
     /// Panics if the length does not match.
@@ -125,7 +128,7 @@ impl MultiVector {
         self.component_mut(c).copy_from_slice(values);
     }
 
-    /// Sets every entry of every component to zero.
+    /// Sets every entry of every lane to zero.
     pub fn fill_zero(&mut self) {
         self.data.fill(0.0);
     }
@@ -153,7 +156,7 @@ mod tests {
     fn interleaved_roundtrip() {
         // values[3*node + c] for 2 nodes.
         let interleaved = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0];
-        let m = MultiVector::from_interleaved(&interleaved);
+        let m: MultiVector = MultiVector::from_interleaved(&interleaved);
         assert_eq!(m.len(), 2);
         assert_eq!(m.component(0), &[1.0, 4.0]);
         assert_eq!(m.component(1), &[2.0, 5.0]);
@@ -191,6 +194,6 @@ mod tests {
     #[test]
     #[should_panic]
     fn non_multiple_interleaved_rejected() {
-        let _ = MultiVector::from_interleaved(&[1.0, 2.0]);
+        let _: MultiVector = MultiVector::from_interleaved(&[1.0, 2.0]);
     }
 }

@@ -69,7 +69,7 @@ impl LinearOperator for CsrMatrix {
     }
 
     fn apply_range(&self, x: &[f64], rows: Range<usize>, y: &mut [f64]) {
-        self.spmv_range(x, rows, y);
+        self.spmm_range([x], rows, [y], [true]);
     }
 
     fn diagonal(&self) -> Vec<f64> {
@@ -118,7 +118,7 @@ impl JacobiPreconditioner {
 
 impl Preconditioner for JacobiPreconditioner {
     fn apply(&mut self, ops: &mut VectorOps<'_>, r: &[f64], z: &mut [f64]) {
-        ops.hadamard(r, &self.inv_diag, z);
+        ops.hadamard([r], &self.inv_diag, [z], [true]);
     }
 }
 

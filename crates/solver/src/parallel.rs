@@ -3,16 +3,22 @@
 //!
 //! Every operation a Krylov iteration performs — SpMV, dot products, norms
 //! and a handful of fused element-wise updates — exists here exactly once,
-//! in a form that runs serially or across an [`lv_runtime::Team`]:
+//! generic over a lane count `K`: it acts on `K` vectors at a time
+//! (`[&[f64]; K]` lanes, `[f64; K]` scalars and a `[bool; K]` mask of the
+//! active lanes), and runs serially or across an [`lv_runtime::Team`].  The
+//! single-vector solvers instantiate it at `K = 1`, the three-component
+//! momentum solve at `K = 3`; per lane the arithmetic is the same, so a
+//! lane of a `K = 3` kernel is bitwise identical to the `K = 1` kernel on
+//! that vector.  Inactive lanes are skipped, not dropped: their outputs are
+//! never written, so a converged lane's iterate stays frozen bit for bit.
 //!
 //! * **SpMV** partitions the output rows statically
 //!   ([`lv_runtime::partition`]); rows are disjoint, each row accumulates in
 //!   column order, so the product is bitwise identical for every thread
-//!   count (no coloring needed — the ROADMAP observation that started this
-//!   subsystem).
+//!   count (no coloring needed).  One matrix traversal serves all lanes.
 //! * **Element-wise updates** (`axpy` and friends) evaluate the same
 //!   per-element expression under the same static partition — bitwise
-//!   identical by construction.
+//!   identical by construction.  One fork/join serves all lanes.
 //! * **Reductions** (`dot`, `norm`) use the fixed-block scheme of
 //!   [`lv_runtime::blocked_reduce`]: block boundaries depend only on the
 //!   length, partials combine in block order, so the value is bitwise
@@ -24,9 +30,9 @@
 //! whether it runs serially or on a team of any size.
 
 use crate::csr::CsrMatrix;
-use crate::multivector::MultiVector;
 use crate::operator::LinearOperator;
-use lv_runtime::{blocked_reduce, blocked_reduce3, partition, SharedSliceMut, Team, Trace};
+use lv_runtime::{blocked_reduce, partition, SharedSliceMut, Team, Trace};
+use std::ops::Range;
 
 /// Element-wise operations on vectors shorter than this stay on the calling
 /// thread even when a team is available: below it, the fork/join hand-shake
@@ -44,6 +50,11 @@ pub const SERIAL_CUTOFF: usize = 1024;
 /// path, free on the hot path.
 pub fn first_non_finite(values: &[f64]) -> Option<usize> {
     values.iter().position(|v| !v.is_finite())
+}
+
+/// Panics unless every lane of every lane set has length `n`.
+fn assert_lanes(n: usize, sets: &[&[&[f64]]]) {
+    assert!(sets.iter().flat_map(|set| set.iter()).all(|lane| lane.len() == n), "lane length");
 }
 
 /// The vector/matrix kernels of a solve, bound to an optional worker team.
@@ -91,10 +102,16 @@ impl<'t> VectorOps<'t> {
         self.trace
     }
 
-    /// Runs `f` once per non-empty partition range of `0..n` — across the
-    /// team when it pays, on the caller otherwise.
+    /// Runs `f` once per non-empty static-partition range of `0..n` — across
+    /// the team when `n` clears [`SERIAL_CUTOFF`], on the caller otherwise.
+    ///
+    /// This is the scheduling primitive behind every kernel in this type,
+    /// exposed so rectangular operators (the multigrid grid transfers) can
+    /// inherit the same partitioning — and therefore the same determinism
+    /// contract — as the square kernels.  `f` must write only state it owns
+    /// for its range; ranges are disjoint.
     #[inline]
-    fn for_ranges(&self, n: usize, f: &(dyn Fn(std::ops::Range<usize>) + Sync)) {
+    pub fn partitioned_rows(&self, n: usize, f: &(dyn Fn(Range<usize>) + Sync)) {
         match self.team {
             Some(team) if n >= SERIAL_CUTOFF => {
                 let threads = team.num_threads();
@@ -109,21 +126,34 @@ impl<'t> VectorOps<'t> {
         }
     }
 
-    /// Runs `f` once per non-empty static-partition range of `0..n` — across
-    /// the team when `n` clears [`SERIAL_CUTOFF`], on the caller otherwise.
-    ///
-    /// This is the scheduling primitive behind every kernel in this type,
-    /// exposed so rectangular operators (the multigrid grid transfers) can
-    /// inherit the same partitioning — and therefore the same determinism
-    /// contract — as the square kernels.  `f` must write only state it owns
-    /// for its range; ranges are disjoint.
-    #[inline]
-    pub fn partitioned_rows(&self, n: usize, f: &(dyn Fn(std::ops::Range<usize>) + Sync)) {
-        self.for_ranges(n, f);
+    /// The loop skeleton of every element-wise kernel: one partitioned pass
+    /// over `0..n` that hands `f(c, range, &mut out[c][range])` each active
+    /// lane's share of the output, after checking every input lane (`inputs`)
+    /// and output lane against `n`.
+    fn update_lanes<const K: usize, F>(
+        &self,
+        inputs: &[&[&[f64]]],
+        out: [&mut [f64]; K],
+        active: [bool; K],
+        f: F,
+    ) where
+        F: Fn(usize, Range<usize>, &mut [f64]) + Sync,
+    {
+        let n = out[0].len();
+        assert_lanes(n, inputs);
+        assert!(out.iter().all(|lane| lane.len() == n), "lane length");
+        let out = out.map(SharedSliceMut::new);
+        self.partitioned_rows(n, &|range| {
+            for c in (0..K).filter(|&c| active[c]) {
+                // SAFETY: partition ranges are disjoint, so each rank owns
+                // its share of every output lane exclusively.
+                f(c, range.clone(), unsafe { out[c].range_mut(range.clone()) });
+            }
+        });
     }
 
     /// `y = A·x` for any [`LinearOperator`] backend, row-partitioned across
-    /// the team.  With a [`CsrMatrix`] this is exactly [`spmv`](Self::spmv).
+    /// the team.
     ///
     /// # Panics
     /// Panics if the vector lengths do not match the operator dimension.
@@ -132,7 +162,7 @@ impl<'t> VectorOps<'t> {
         assert_eq!(x.len(), n);
         assert_eq!(y.len(), n);
         let out = SharedSliceMut::new(y);
-        self.for_ranges(n, &|rows| {
+        self.partitioned_rows(n, &|rows| {
             // SAFETY: partition ranges are disjoint, so each rank owns its
             // output rows exclusively.
             let slice = unsafe { out.range_mut(rows.clone()) };
@@ -140,361 +170,160 @@ impl<'t> VectorOps<'t> {
         });
     }
 
-    /// `y = A·x`, row-partitioned across the team.
+    /// `y_c = A·x_c` for the active lanes with **one** matrix traversal,
+    /// row-partitioned across the team ([`CsrMatrix::spmm_range`]): inactive
+    /// lanes skip their stores and `x` gathers, but the values/col_idx
+    /// streams are read exactly once whatever the mask.  Each lane is
+    /// bitwise identical to [`apply`](Self::apply) of that lane.
     ///
     /// # Panics
-    /// Panics if the vector lengths do not match the matrix dimension.
-    pub fn spmv(&mut self, matrix: &CsrMatrix, x: &[f64], y: &mut [f64]) {
-        self.apply(matrix, x, y);
+    /// Panics if the lane lengths do not match the matrix dimension.
+    pub fn spmm<const K: usize>(
+        &mut self,
+        matrix: &CsrMatrix,
+        x: [&[f64]; K],
+        y: [&mut [f64]; K],
+        active: [bool; K],
+    ) {
+        let n = matrix.dim();
+        assert_lanes(n, &[&x]);
+        assert!(y.iter().all(|lane| lane.len() == n), "lane length");
+        let ys = y.map(SharedSliceMut::new);
+        self.partitioned_rows(n, &|rows| {
+            // SAFETY: partition ranges are disjoint, so each rank owns its
+            // output rows of every lane exclusively.
+            let out = std::array::from_fn(|c| unsafe { ys[c].range_mut(rows.clone()) });
+            matrix.spmm_range(x, rows.clone(), out, active);
+        });
     }
 
-    /// Blocked dot product `aᵀb` (deterministic for every thread count).
-    pub fn dot(&mut self, a: &[f64], b: &[f64]) -> f64 {
-        assert_eq!(a.len(), b.len());
+    /// Blocked dot products `aᵀ_c b_c` in one fused reduction
+    /// (deterministic for every thread count; inactive lanes return 0).
+    pub fn dot<const K: usize>(
+        &mut self,
+        a: [&[f64]; K],
+        b: [&[f64]; K],
+        active: [bool; K],
+    ) -> [f64; K] {
+        let n = a[0].len();
+        assert_lanes(n, &[&a, &b]);
         // Same cutoff as the element-wise ops: below it the fork/join costs
         // more than the reduction.  The serial path runs the identical
         // blocked order, so the value does not depend on the choice.
-        let team = if a.len() >= SERIAL_CUTOFF { self.team } else { None };
-        blocked_reduce(team, a.len(), &mut self.scratch, |r| {
-            a[r.clone()].iter().zip(&b[r]).map(|(x, y)| x * y).sum()
-        })
-    }
-
-    /// Blocked Euclidean norm ‖a‖.
-    pub fn norm(&mut self, a: &[f64]) -> f64 {
-        self.dot(a, a).sqrt()
-    }
-
-    /// `y[i] += alpha * x[i]`.
-    pub fn axpy(&mut self, alpha: f64, x: &[f64], y: &mut [f64]) {
-        assert_eq!(x.len(), y.len());
-        let out = SharedSliceMut::new(y);
-        self.for_ranges(x.len(), &|range| {
-            // SAFETY: disjoint partition ranges.
-            let ys = unsafe { out.range_mut(range.clone()) };
-            for (yi, xi) in ys.iter_mut().zip(&x[range]) {
-                *yi += alpha * xi;
-            }
-        });
-    }
-
-    /// `x[i] += alpha * p[i] + omega * s[i]` — the fused BiCGSTAB solution
-    /// update, kept as one expression so the parallel path reproduces the
-    /// serial rounding exactly.
-    pub fn axpy2(&mut self, alpha: f64, p: &[f64], omega: f64, s: &[f64], x: &mut [f64]) {
-        assert_eq!(p.len(), x.len());
-        assert_eq!(s.len(), x.len());
-        let out = SharedSliceMut::new(x);
-        self.for_ranges(p.len(), &|range| {
-            // SAFETY: disjoint partition ranges.
-            let xs = unsafe { out.range_mut(range.clone()) };
-            for ((xi, pi), si) in xs.iter_mut().zip(&p[range.clone()]).zip(&s[range]) {
-                *xi += alpha * pi + omega * si;
-            }
-        });
-    }
-
-    /// `out[i] = a[i] * b[i]` — the Jacobi preconditioner application.
-    pub fn hadamard(&mut self, a: &[f64], b: &[f64], out: &mut [f64]) {
-        assert_eq!(a.len(), b.len());
-        assert_eq!(a.len(), out.len());
-        let shared = SharedSliceMut::new(out);
-        self.for_ranges(a.len(), &|range| {
-            // SAFETY: disjoint partition ranges.
-            let os = unsafe { shared.range_mut(range.clone()) };
-            for ((oi, ai), bi) in os.iter_mut().zip(&a[range.clone()]).zip(&b[range]) {
-                *oi = ai * bi;
-            }
-        });
-    }
-
-    /// `p[i] = z[i] + beta * p[i]` — the CG direction update.
-    pub fn xpby(&mut self, z: &[f64], beta: f64, p: &mut [f64]) {
-        assert_eq!(z.len(), p.len());
-        let out = SharedSliceMut::new(p);
-        self.for_ranges(z.len(), &|range| {
-            // SAFETY: disjoint partition ranges.
-            let ps = unsafe { out.range_mut(range.clone()) };
-            for (pi, zi) in ps.iter_mut().zip(&z[range]) {
-                *pi = zi + beta * *pi;
-            }
-        });
-    }
-
-    /// `out[i] = a[i] - c * b[i]` — residual-style updates
-    /// (`s = r - alpha*v`, `r = s - omega*t`).
-    pub fn scaled_diff(&mut self, a: &[f64], c: f64, b: &[f64], out: &mut [f64]) {
-        assert_eq!(a.len(), b.len());
-        assert_eq!(a.len(), out.len());
-        let shared = SharedSliceMut::new(out);
-        self.for_ranges(a.len(), &|range| {
-            // SAFETY: disjoint partition ranges.
-            let os = unsafe { shared.range_mut(range.clone()) };
-            for ((oi, ai), bi) in os.iter_mut().zip(&a[range.clone()]).zip(&b[range]) {
-                *oi = ai - c * bi;
-            }
-        });
-    }
-
-    /// `p[i] = r[i] + beta * (p[i] - omega * v[i])` — the BiCGSTAB direction
-    /// update, fused to match the serial expression bit for bit.
-    pub fn direction_update(&mut self, r: &[f64], beta: f64, omega: f64, v: &[f64], p: &mut [f64]) {
-        assert_eq!(r.len(), p.len());
-        assert_eq!(v.len(), p.len());
-        let out = SharedSliceMut::new(p);
-        self.for_ranges(r.len(), &|range| {
-            // SAFETY: disjoint partition ranges.
-            let ps = unsafe { out.range_mut(range.clone()) };
-            for ((pi, ri), vi) in ps.iter_mut().zip(&r[range.clone()]).zip(&v[range]) {
-                *pi = ri + beta * (*pi - omega * vi);
-            }
-        });
-    }
-
-    // --------------------------------------------------------------------
-    // The 3-wide (multi-RHS) kernels.  Every one of them performs, per
-    // active component, the exact floating-point operation sequence of its
-    // single-vector sibling above — the fusion only amortizes the matrix
-    // traversal (spmm3) and the fork/join dispatch (one per operation
-    // instead of one per component), never the arithmetic.  `active` masks
-    // converged components: they are skipped, not dropped, so a frozen
-    // component's iterate stays bit-for-bit at its converged value.
-    // --------------------------------------------------------------------
-
-    /// `Y = A·X` for the three components, one matrix traversal — also with
-    /// a partial mask: [`CsrMatrix::spmm3_range`] skips the stores (and `x`
-    /// gathers) of inactive components but still streams values/col_idx
-    /// exactly once, so freezing an early-converged component never costs
-    /// the fused-traversal win.  Per active component the accumulation is
-    /// bitwise identical to [`spmv`](Self::spmv).
-    pub fn spmm3(
-        &mut self,
-        matrix: &CsrMatrix,
-        x: &MultiVector,
-        y: &mut MultiVector,
-        active: [bool; 3],
-    ) {
-        let n = matrix.dim();
-        assert_eq!(x.len(), n);
-        assert_eq!(y.len(), n);
-        let xs = x.components();
-        let ys = y.components_mut().map(SharedSliceMut::new);
-        self.for_ranges(n, &|rows| {
-            // SAFETY: partition ranges are disjoint, so each rank owns its
-            // output rows of all three components exclusively.
-            let [y0, y1, y2] = [
-                unsafe { ys[0].range_mut(rows.clone()) },
-                unsafe { ys[1].range_mut(rows.clone()) },
-                unsafe { ys[2].range_mut(rows.clone()) },
-            ];
-            matrix.spmm3_range(xs, rows.clone(), [y0, y1, y2], active);
-        });
-    }
-
-    /// Component-wise dot products `aᵀ_c b_c` in one fused blocked
-    /// reduction: each active component's value is bitwise identical to
-    /// [`dot`](Self::dot) of that component (inactive slots return 0).
-    pub fn dot3(&mut self, a: &MultiVector, b: &MultiVector, active: [bool; 3]) -> [f64; 3] {
-        let n = a.len();
-        assert_eq!(b.len(), n);
-        let xs = a.components();
-        let ys = b.components();
         let team = if n >= SERIAL_CUTOFF { self.team } else { None };
-        blocked_reduce3(team, n, &mut self.scratch, |r| {
-            let mut out = [0.0f64; 3];
-            for c in 0..3 {
+        blocked_reduce(team, n, &mut self.scratch, |r| {
+            std::array::from_fn(|c| {
                 if active[c] {
-                    out[c] =
-                        xs[c][r.clone()].iter().zip(&ys[c][r.clone()]).map(|(x, y)| x * y).sum();
+                    a[c][r.clone()].iter().zip(&b[c][r.clone()]).map(|(x, y)| x * y).sum()
+                } else {
+                    0.0
                 }
-            }
-            out
+            })
         })
     }
 
-    /// Component-wise Euclidean norms ‖a_c‖ (0 for inactive components).
-    pub fn norm3(&mut self, a: &MultiVector, active: [bool; 3]) -> [f64; 3] {
-        let d = self.dot3(a, a, active);
-        [d[0].sqrt(), d[1].sqrt(), d[2].sqrt()]
+    /// Blocked Euclidean norms ‖a_c‖ (0 for inactive lanes).
+    pub fn norm<const K: usize>(&mut self, a: [&[f64]; K], active: [bool; K]) -> [f64; K] {
+        self.dot(a, a, active).map(f64::sqrt)
     }
 
-    /// `y_c[i] += alpha_c * x_c[i]` for the active components.
-    pub fn axpy3(
+    /// `y_c[i] += alpha_c * x_c[i]`.
+    pub fn axpy<const K: usize>(
         &mut self,
-        alpha: [f64; 3],
-        x: &MultiVector,
-        y: &mut MultiVector,
-        active: [bool; 3],
+        alpha: [f64; K],
+        x: [&[f64]; K],
+        y: [&mut [f64]; K],
+        active: [bool; K],
     ) {
-        let n = x.len();
-        assert_eq!(y.len(), n);
-        let xs = x.components();
-        let ys = y.components_mut().map(SharedSliceMut::new);
-        self.for_ranges(n, &|range| {
-            for c in 0..3 {
-                if !active[c] {
-                    continue;
-                }
-                // SAFETY: disjoint partition ranges per component.
-                let out = unsafe { ys[c].range_mut(range.clone()) };
-                for (yi, xi) in out.iter_mut().zip(&xs[c][range.clone()]) {
-                    *yi += alpha[c] * xi;
-                }
+        self.update_lanes(&[&x], y, active, |c, range, ys| {
+            for (yi, xi) in ys.iter_mut().zip(&x[c][range]) {
+                *yi += alpha[c] * xi;
             }
         });
     }
 
     /// `x_c[i] += alpha_c * p_c[i] + omega_c * s_c[i]` — the fused BiCGSTAB
-    /// solution update, three components wide.
-    pub fn axpy2_3(
+    /// solution update, kept as one expression so the parallel path
+    /// reproduces the serial rounding exactly.
+    pub fn axpy2<const K: usize>(
         &mut self,
-        alpha: [f64; 3],
-        p: &MultiVector,
-        omega: [f64; 3],
-        s: &MultiVector,
-        x: &mut MultiVector,
-        active: [bool; 3],
+        alpha: [f64; K],
+        p: [&[f64]; K],
+        omega: [f64; K],
+        s: [&[f64]; K],
+        x: [&mut [f64]; K],
+        active: [bool; K],
     ) {
-        let n = p.len();
-        assert_eq!(s.len(), n);
-        assert_eq!(x.len(), n);
-        let ps = p.components();
-        let ss = s.components();
-        let xs = x.components_mut().map(SharedSliceMut::new);
-        self.for_ranges(n, &|range| {
-            for c in 0..3 {
-                if !active[c] {
-                    continue;
-                }
-                // SAFETY: disjoint partition ranges per component.
-                let out = unsafe { xs[c].range_mut(range.clone()) };
-                for ((xi, pi), si) in
-                    out.iter_mut().zip(&ps[c][range.clone()]).zip(&ss[c][range.clone()])
-                {
-                    *xi += alpha[c] * pi + omega[c] * si;
-                }
+        self.update_lanes(&[&p, &s], x, active, |c, range, xs| {
+            for ((xi, pi), si) in xs.iter_mut().zip(&p[c][range.clone()]).zip(&s[c][range]) {
+                *xi += alpha[c] * pi + omega[c] * si;
             }
         });
     }
 
-    /// `out_c[i] = a_c[i] * d[i]` — the Jacobi preconditioner applied to the
-    /// three components (`d` is shared: it depends only on the matrix).
-    pub fn hadamard3(
+    /// `out_c[i] = a_c[i] * d[i]` — the Jacobi preconditioner application
+    /// (`d` is shared by the lanes: it depends only on the matrix).
+    pub fn hadamard<const K: usize>(
         &mut self,
-        a: &MultiVector,
+        a: [&[f64]; K],
         d: &[f64],
-        out: &mut MultiVector,
-        active: [bool; 3],
+        out: [&mut [f64]; K],
+        active: [bool; K],
     ) {
-        let n = a.len();
-        assert_eq!(d.len(), n);
-        assert_eq!(out.len(), n);
-        let xs = a.components();
-        let os = out.components_mut().map(SharedSliceMut::new);
-        self.for_ranges(n, &|range| {
-            for c in 0..3 {
-                if !active[c] {
-                    continue;
-                }
-                // SAFETY: disjoint partition ranges per component.
-                let slot = unsafe { os[c].range_mut(range.clone()) };
-                for ((oi, ai), di) in
-                    slot.iter_mut().zip(&xs[c][range.clone()]).zip(&d[range.clone()])
-                {
-                    *oi = ai * di;
-                }
+        self.update_lanes(&[&a, &[d]], out, active, |c, range, os| {
+            for ((oi, ai), di) in os.iter_mut().zip(&a[c][range.clone()]).zip(&d[range]) {
+                *oi = ai * di;
             }
         });
     }
 
-    /// `p_c[i] = z_c[i] + beta_c * p_c[i]` — the CG direction update, three
-    /// components wide.
-    pub fn xpby3(
+    /// `p_c[i] = z_c[i] + beta_c * p_c[i]` — the CG direction update.
+    pub fn xpby<const K: usize>(
         &mut self,
-        z: &MultiVector,
-        beta: [f64; 3],
-        p: &mut MultiVector,
-        active: [bool; 3],
+        z: [&[f64]; K],
+        beta: [f64; K],
+        p: [&mut [f64]; K],
+        active: [bool; K],
     ) {
-        let n = z.len();
-        assert_eq!(p.len(), n);
-        let zs = z.components();
-        let ps = p.components_mut().map(SharedSliceMut::new);
-        self.for_ranges(n, &|range| {
-            for c in 0..3 {
-                if !active[c] {
-                    continue;
-                }
-                // SAFETY: disjoint partition ranges per component.
-                let out = unsafe { ps[c].range_mut(range.clone()) };
-                for (pi, zi) in out.iter_mut().zip(&zs[c][range.clone()]) {
-                    *pi = zi + beta[c] * *pi;
-                }
+        self.update_lanes(&[&z], p, active, |c, range, ps| {
+            for (pi, zi) in ps.iter_mut().zip(&z[c][range]) {
+                *pi = zi + beta[c] * *pi;
             }
         });
     }
 
-    /// `out_c[i] = a_c[i] - k_c * b_c[i]` — the residual-style updates, three
-    /// components wide.
-    pub fn scaled_diff3(
+    /// `out_c[i] = a_c[i] - k_c * b_c[i]` — residual-style updates
+    /// (`s = r - alpha*v`, `r = s - omega*t`).
+    pub fn scaled_diff<const K: usize>(
         &mut self,
-        a: &MultiVector,
-        k: [f64; 3],
-        b: &MultiVector,
-        out: &mut MultiVector,
-        active: [bool; 3],
+        a: [&[f64]; K],
+        k: [f64; K],
+        b: [&[f64]; K],
+        out: [&mut [f64]; K],
+        active: [bool; K],
     ) {
-        let n = a.len();
-        assert_eq!(b.len(), n);
-        assert_eq!(out.len(), n);
-        let xs = a.components();
-        let ys = b.components();
-        let os = out.components_mut().map(SharedSliceMut::new);
-        self.for_ranges(n, &|range| {
-            for c in 0..3 {
-                if !active[c] {
-                    continue;
-                }
-                // SAFETY: disjoint partition ranges per component.
-                let slot = unsafe { os[c].range_mut(range.clone()) };
-                for ((oi, ai), bi) in
-                    slot.iter_mut().zip(&xs[c][range.clone()]).zip(&ys[c][range.clone()])
-                {
-                    *oi = ai - k[c] * bi;
-                }
+        self.update_lanes(&[&a, &b], out, active, |c, range, os| {
+            for ((oi, ai), bi) in os.iter_mut().zip(&a[c][range.clone()]).zip(&b[c][range]) {
+                *oi = ai - k[c] * bi;
             }
         });
     }
 
     /// `p_c[i] = r_c[i] + beta_c * (p_c[i] - omega_c * v_c[i])` — the
-    /// BiCGSTAB direction update, three components wide.
-    pub fn direction_update3(
+    /// BiCGSTAB direction update, fused to match the serial expression bit
+    /// for bit.
+    pub fn direction_update<const K: usize>(
         &mut self,
-        r: &MultiVector,
-        beta: [f64; 3],
-        omega: [f64; 3],
-        v: &MultiVector,
-        p: &mut MultiVector,
-        active: [bool; 3],
+        r: [&[f64]; K],
+        beta: [f64; K],
+        omega: [f64; K],
+        v: [&[f64]; K],
+        p: [&mut [f64]; K],
+        active: [bool; K],
     ) {
-        let n = r.len();
-        assert_eq!(v.len(), n);
-        assert_eq!(p.len(), n);
-        let rs = r.components();
-        let vs = v.components();
-        let ps = p.components_mut().map(SharedSliceMut::new);
-        self.for_ranges(n, &|range| {
-            for c in 0..3 {
-                if !active[c] {
-                    continue;
-                }
-                // SAFETY: disjoint partition ranges per component.
-                let out = unsafe { ps[c].range_mut(range.clone()) };
-                for ((pi, ri), vi) in
-                    out.iter_mut().zip(&rs[c][range.clone()]).zip(&vs[c][range.clone()])
-                {
-                    *pi = ri + beta[c] * (*pi - omega[c] * vi);
-                }
+        self.update_lanes(&[&r, &v], p, active, |c, range, ps| {
+            for ((pi, ri), vi) in ps.iter_mut().zip(&r[c][range.clone()]).zip(&v[c][range]) {
+                *pi = ri + beta[c] * (*pi - omega[c] * vi);
             }
         });
     }
@@ -503,6 +332,7 @@ impl<'t> VectorOps<'t> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::multivector::MultiVector;
 
     fn vec_a(n: usize) -> Vec<f64> {
         (0..n).map(|i| (i as f64 * 0.137).sin() * 3.0 + 0.25).collect()
@@ -537,25 +367,30 @@ mod tests {
         let m = tridiag(n);
 
         let mut serial = VectorOps::serial();
-        let dot_s = serial.dot(&a, &b);
-        let norm_s = serial.norm(&a);
+        let dot_s = serial.dot([&a], [&b], [true]);
+        let norm_s = serial.norm([&a], [true]);
         let mut spmv_s = vec![0.0; n];
-        serial.spmv(&m, &a, &mut spmv_s);
+        serial.apply(&m, &a, &mut spmv_s);
         let mut axpy_s = b.clone();
-        serial.axpy(1.5, &a, &mut axpy_s);
+        serial.axpy([1.5], [&a], [&mut axpy_s], [true]);
 
         for threads in [1usize, 2, 4] {
             let team = Team::new(threads);
             let mut ops = VectorOps::on_team(&team);
-            assert_eq!(ops.dot(&a, &b).to_bits(), dot_s.to_bits(), "dot threads={threads}");
-            assert_eq!(ops.norm(&a).to_bits(), norm_s.to_bits(), "norm threads={threads}");
+            let dot = ops.dot([&a], [&b], [true]);
+            assert_eq!(dot[0].to_bits(), dot_s[0].to_bits(), "dot threads={threads}");
+            let norm = ops.norm([&a], [true]);
+            assert_eq!(norm[0].to_bits(), norm_s[0].to_bits(), "norm threads={threads}");
             let mut y = vec![0.0; n];
-            ops.spmv(&m, &a, &mut y);
+            ops.apply(&m, &a, &mut y);
             for (s, p) in spmv_s.iter().zip(&y) {
                 assert_eq!(s.to_bits(), p.to_bits(), "spmv threads={threads}");
             }
+            let mut y = vec![0.0; n];
+            ops.spmm(&m, [&a], [&mut y], [true]);
+            assert_eq!(y, spmv_s, "one-lane spmm threads={threads}");
             let mut y = b.clone();
-            ops.axpy(1.5, &a, &mut y);
+            ops.axpy([1.5], [&a], [&mut y], [true]);
             for (s, p) in axpy_s.iter().zip(&y) {
                 assert_eq!(s.to_bits(), p.to_bits(), "axpy threads={threads}");
             }
@@ -574,25 +409,25 @@ mod tests {
         let mut p = vec_b(n);
         let expect: Vec<f64> =
             r.iter().zip(&p).zip(&v).map(|((ri, pi), vi)| ri + beta * (pi - omega * vi)).collect();
-        ops.direction_update(&r, beta, omega, &v, &mut p);
+        ops.direction_update([&r], [beta], [omega], [&v], [&mut p], [true]);
         assert_eq!(p, expect);
 
         let mut x = vec_a(n);
         let expect: Vec<f64> =
             x.iter().zip(&r).zip(&v).map(|((xi, pi), si)| xi + (alpha * pi + omega * si)).collect();
-        ops.axpy2(alpha, &r, omega, &v, &mut x);
+        ops.axpy2([alpha], [&r], [omega], [&v], [&mut x], [true]);
         assert_eq!(x, expect);
 
         let mut out = vec![0.0; n];
-        ops.hadamard(&r, &v, &mut out);
+        ops.hadamard([&r], &v, [&mut out], [true]);
         assert_eq!(out, r.iter().zip(&v).map(|(a, b)| a * b).collect::<Vec<_>>());
 
-        ops.scaled_diff(&r, omega, &v, &mut out);
+        ops.scaled_diff([&r], [omega], [&v], [&mut out], [true]);
         assert_eq!(out, r.iter().zip(&v).map(|(a, b)| a - omega * b).collect::<Vec<_>>());
 
         let mut p = vec_b(n);
         let expect: Vec<f64> = r.iter().zip(&p).map(|(zi, pi)| zi + beta * pi).collect();
-        ops.xpby(&r, beta, &mut p);
+        ops.xpby([&r], [beta], [&mut p], [true]);
         assert_eq!(p, expect);
     }
 
@@ -604,11 +439,14 @@ mod tests {
         let team = Team::new(4);
         let mut ops = VectorOps::on_team(&team);
         let mut serial = VectorOps::serial();
-        assert_eq!(ops.dot(&a, &b).to_bits(), serial.dot(&a, &b).to_bits());
+        assert_eq!(
+            ops.dot([&a], [&b], [true])[0].to_bits(),
+            serial.dot([&a], [&b], [true])[0].to_bits()
+        );
         let mut y1 = b.clone();
         let mut y2 = b.clone();
-        ops.axpy(0.5, &a, &mut y1);
-        serial.axpy(0.5, &a, &mut y2);
+        ops.axpy([0.5], [&a], [&mut y1], [true]);
+        serial.axpy([0.5], [&a], [&mut y2], [true]);
         assert_eq!(y1, y2);
     }
 
@@ -635,8 +473,8 @@ mod tests {
         for threads in [1usize, 2] {
             let team = Team::new(threads);
             let mut ops = VectorOps::on_team(&team);
-            assert!(ops.norm(&a).is_nan(), "threads={threads}");
-            assert!(ops.dot(&a, &a).is_nan(), "threads={threads}");
+            assert!(ops.norm([&a], [true])[0].is_nan(), "threads={threads}");
+            assert!(ops.dot([&a], [&a], [true])[0].is_nan(), "threads={threads}");
         }
     }
 
@@ -648,8 +486,8 @@ mod tests {
         ])
     }
 
-    /// Each 3-wide kernel reproduces its single-vector sibling bit for bit,
-    /// per component, serially and across teams.
+    /// Each kernel's three-lane instance reproduces its one-lane instance
+    /// bit for bit, per lane, serially and across teams.
     #[test]
     fn three_wide_kernels_match_single_kernels_bitwise() {
         let n = 3 * SERIAL_CUTOFF + 111;
@@ -659,6 +497,7 @@ mod tests {
         let m = tridiag(n);
         let all = [true; 3];
         let (alpha, beta, omega) = ([0.5, -1.25, 2.0], [1.5, 0.25, -0.75], [0.125, -2.0, 0.5]);
+        let (ac, bc) = (a.components(), b.components());
 
         for threads in [1usize, 2, 4] {
             let team = Team::new(threads);
@@ -666,61 +505,55 @@ mod tests {
             let mut single = VectorOps::serial();
 
             let mut y3 = MultiVector::zeros(n);
-            ops.spmm3(&m, &a, &mut y3, all);
-            let dots = ops.dot3(&a, &b, all);
-            let norms = ops.norm3(&a, all);
+            ops.spmm(&m, ac, y3.components_mut(), all);
+            let dots = ops.dot(ac, bc, all);
+            let norms = ops.norm(ac, all);
             let mut axpy_m = b.clone();
-            ops.axpy3(alpha, &a, &mut axpy_m, all);
+            ops.axpy(alpha, ac, axpy_m.components_mut(), all);
             let mut had_m = MultiVector::zeros(n);
-            ops.hadamard3(&a, &d, &mut had_m, all);
+            ops.hadamard(ac, &d, had_m.components_mut(), all);
             let mut xpby_m = b.clone();
-            ops.xpby3(&a, beta, &mut xpby_m, all);
+            ops.xpby(ac, beta, xpby_m.components_mut(), all);
             let mut diff_m = MultiVector::zeros(n);
-            ops.scaled_diff3(&a, omega, &b, &mut diff_m, all);
+            ops.scaled_diff(ac, omega, bc, diff_m.components_mut(), all);
             let mut dir_m = b.clone();
-            ops.direction_update3(&a, beta, omega, &b, &mut dir_m, all);
+            ops.direction_update(ac, beta, omega, bc, dir_m.components_mut(), all);
             let mut axpy2_m = a.clone();
-            ops.axpy2_3(alpha, &a, omega, &b, &mut axpy2_m, all);
+            ops.axpy2(alpha, ac, omega, bc, axpy2_m.components_mut(), all);
 
             for c in 0..3 {
-                let (ac, bc) = (a.component(c), b.component(c));
+                let (ac, bc) = (ac[c], bc[c]);
                 let mut y = vec![0.0; n];
-                single.spmv(&m, ac, &mut y);
-                assert_eq!(y, y3.component(c), "spmm3 t={threads} c={c}");
-                assert_eq!(
-                    single.dot(ac, bc).to_bits(),
-                    dots[c].to_bits(),
-                    "dot3 t={threads} c={c}"
-                );
-                assert_eq!(
-                    single.norm(ac).to_bits(),
-                    norms[c].to_bits(),
-                    "norm3 t={threads} c={c}"
-                );
+                single.apply(&m, ac, &mut y);
+                assert_eq!(y, y3.component(c), "spmm t={threads} c={c}");
+                let dot = single.dot([ac], [bc], [true]);
+                assert_eq!(dot[0].to_bits(), dots[c].to_bits(), "dot t={threads} c={c}");
+                let norm = single.norm([ac], [true]);
+                assert_eq!(norm[0].to_bits(), norms[c].to_bits(), "norm t={threads} c={c}");
                 let mut y = bc.to_vec();
-                single.axpy(alpha[c], ac, &mut y);
-                assert_eq!(y, axpy_m.component(c), "axpy3 t={threads} c={c}");
+                single.axpy([alpha[c]], [ac], [&mut y], [true]);
+                assert_eq!(y, axpy_m.component(c), "axpy t={threads} c={c}");
                 let mut y = vec![0.0; n];
-                single.hadamard(ac, &d, &mut y);
-                assert_eq!(y, had_m.component(c), "hadamard3 t={threads} c={c}");
+                single.hadamard([ac], &d, [&mut y], [true]);
+                assert_eq!(y, had_m.component(c), "hadamard t={threads} c={c}");
                 let mut y = bc.to_vec();
-                single.xpby(ac, beta[c], &mut y);
-                assert_eq!(y, xpby_m.component(c), "xpby3 t={threads} c={c}");
+                single.xpby([ac], [beta[c]], [&mut y], [true]);
+                assert_eq!(y, xpby_m.component(c), "xpby t={threads} c={c}");
                 let mut y = vec![0.0; n];
-                single.scaled_diff(ac, omega[c], bc, &mut y);
-                assert_eq!(y, diff_m.component(c), "scaled_diff3 t={threads} c={c}");
+                single.scaled_diff([ac], [omega[c]], [bc], [&mut y], [true]);
+                assert_eq!(y, diff_m.component(c), "scaled_diff t={threads} c={c}");
                 let mut y = bc.to_vec();
-                single.direction_update(ac, beta[c], omega[c], bc, &mut y);
-                assert_eq!(y, dir_m.component(c), "direction_update3 t={threads} c={c}");
+                single.direction_update([ac], [beta[c]], [omega[c]], [bc], [&mut y], [true]);
+                assert_eq!(y, dir_m.component(c), "direction_update t={threads} c={c}");
                 let mut y = ac.to_vec();
-                single.axpy2(alpha[c], ac, omega[c], bc, &mut y);
-                assert_eq!(y, axpy2_m.component(c), "axpy2_3 t={threads} c={c}");
+                single.axpy2([alpha[c]], [ac], [omega[c]], [bc], [&mut y], [true]);
+                assert_eq!(y, axpy2_m.component(c), "axpy2 t={threads} c={c}");
             }
         }
     }
 
-    /// Masked components are frozen: their storage is untouched, the active
-    /// components still match their single-kernel results.
+    /// Masked lanes are frozen: their storage is untouched, the active lanes
+    /// still match their one-lane results.
     #[test]
     fn inactive_components_are_left_untouched() {
         let n = 2 * SERIAL_CUTOFF;
@@ -732,20 +565,21 @@ mod tests {
 
         let mut y = multi(n);
         let frozen = y.component(1).to_vec();
-        ops.spmm3(&m, &a, &mut y, mask);
-        assert_eq!(y.component(1), frozen.as_slice(), "spmm3 touched a masked component");
+        ops.spmm(&m, a.components(), y.components_mut(), mask);
+        assert_eq!(y.component(1), frozen.as_slice(), "spmm touched a masked lane");
         let mut single = VectorOps::serial();
         let mut expect = vec![0.0; n];
-        single.spmv(&m, a.component(2), &mut expect);
+        single.apply(&m, a.component(2), &mut expect);
         assert_eq!(expect, y.component(2));
 
         let mut y = multi(n);
         let frozen = y.component(1).to_vec();
-        ops.axpy3([2.0, 3.0, 4.0], &a, &mut y, mask);
-        assert_eq!(y.component(1), frozen.as_slice(), "axpy3 touched a masked component");
+        ops.axpy([2.0, 3.0, 4.0], a.components(), y.components_mut(), mask);
+        assert_eq!(y.component(1), frozen.as_slice(), "axpy touched a masked lane");
 
-        let dots = ops.dot3(&a, &a, mask);
+        let dots = ops.dot(a.components(), a.components(), mask);
         assert_eq!(dots[1], 0.0, "masked dot slot must be zero");
-        assert_eq!(dots[0].to_bits(), single.dot(a.component(0), a.component(0)).to_bits());
+        let single_dot = single.dot([a.component(0)], [a.component(0)], [true]);
+        assert_eq!(dots[0].to_bits(), single_dot[0].to_bits());
     }
 }

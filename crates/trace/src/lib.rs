@@ -82,13 +82,18 @@ pub mod spans {
     /// One (MG-preconditioned or plain) CG iteration: `aux` carries the
     /// relative residual as `f64::to_bits`.
     pub const CG_ITERATION: SpanId = SpanId(7);
-    /// One single-RHS BiCGSTAB iteration (`aux` = relative residual bits).
+    /// One single-RHS (one-lane) BiCGSTAB iteration: the tallies are set
+    /// once the iteration produced a relative residual, and `aux` carries
+    /// that residual as `f64::to_bits` (an iteration that fails before it
+    /// records zero tallies).
     pub const BICGSTAB_ITERATION: SpanId = SpanId(8);
-    /// One batched (3-RHS) CG iteration; `iters` = active components,
-    /// `aux` = worst active relative residual bits.
+    /// Unused: no solver records it since the three-RHS CG was removed.
+    /// The id stays reserved because trace logs store span ids as numbers.
     pub const CG3_ITERATION: SpanId = SpanId(9);
-    /// One batched (3-RHS) BiCGSTAB iteration; `iters` = active components,
-    /// `aux` = worst active relative residual bits.
+    /// One batched (3-RHS) BiCGSTAB iteration; `iters` = lanes active at the
+    /// start of the iteration, `flops`/`bytes` = that count times the
+    /// one-lane model, and `aux` = the bitmask of those lanes (bit `c` set
+    /// when component `c` iterates).
     pub const BICGSTAB3_ITERATION: SpanId = SpanId(10);
     /// One multigrid V-cycle application (leader).
     pub const MG_VCYCLE: SpanId = SpanId(11);

@@ -52,23 +52,25 @@ fn pooled_kernels_match_serial_bitwise() {
     let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.173).sin() + 0.2).collect();
 
     let mut serial = VectorOps::serial();
-    let dot_oracle = serial.dot(&x, &b);
-    let norm_oracle = serial.norm(&b);
+    let [dot_oracle] = serial.dot([&x], [&b], [true]);
+    let [norm_oracle] = serial.norm([&b], [true]);
     let mut spmv_oracle = vec![0.0; n];
-    serial.spmv(&matrix, &x, &mut spmv_oracle);
+    serial.apply(&matrix, &x, &mut spmv_oracle);
     let mut axpy_oracle = b.clone();
-    serial.axpy(-0.75, &x, &mut axpy_oracle);
+    serial.axpy([-0.75], [&x], [&mut axpy_oracle], [true]);
 
     for threads in THREAD_COUNTS {
         let team = Team::new(threads);
         let mut ops = VectorOps::on_team(&team);
-        assert_eq!(ops.dot(&x, &b).to_bits(), dot_oracle.to_bits(), "dot threads={threads}");
-        assert_eq!(ops.norm(&b).to_bits(), norm_oracle.to_bits(), "norm threads={threads}");
+        let [dot] = ops.dot([&x], [&b], [true]);
+        assert_eq!(dot.to_bits(), dot_oracle.to_bits(), "dot threads={threads}");
+        let [norm] = ops.norm([&b], [true]);
+        assert_eq!(norm.to_bits(), norm_oracle.to_bits(), "norm threads={threads}");
         let mut y = vec![0.0; n];
-        ops.spmv(&matrix, &x, &mut y);
+        ops.apply(&matrix, &x, &mut y);
         assert_bitwise(&spmv_oracle, &y, &format!("spmv threads={threads}"));
         let mut y = b.clone();
-        ops.axpy(-0.75, &x, &mut y);
+        ops.axpy([-0.75], [&x], [&mut y], [true]);
         assert_bitwise(&axpy_oracle, &y, &format!("axpy threads={threads}"));
     }
 }
